@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-write bench-smoke bench-baseline bench-diff tables examples cover serve-smoke fuzz-wire torture torture-repl clean
+.PHONY: all build test race flake bench bench-write bench-smoke bench-baseline bench-diff tables examples cover serve-smoke fuzz-wire torture torture-repl clean
 
 all: build test
 
@@ -16,6 +16,17 @@ test:
 
 race:
 	$(GO) test ./internal/... -race
+
+# Flake rates as numbers: run the crash- and replication-heavy packages
+# N times and print, per test, how many of the N runs failed. Not a CI
+# gate while known flakes (ROADMAP item 1) stay red.
+N ?= 10
+flake:
+	@$(GO) test -json -count=$(N) ./internal/core ./internal/replica ./internal/partition \
+		| grep -o '"Action":"fail","Package":"[^"]*","Test":"[^"]*"' \
+		| sed -E 's/.*"Package":"([^"]*)","Test":"([^"]*)"/\1 \2/' \
+		| sort | uniq -c | sort -rn \
+		| awk -v n=$(N) '{ printf "%4d/%d  %s %s\n", $$1, n, $$2, $$3 } END { if (NR == 0) print "no failures in " n " runs" }'
 
 # One testing.B target per experiment plus micro/ablation benches.
 bench:

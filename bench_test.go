@@ -438,6 +438,43 @@ func BenchmarkEngineScan(b *testing.B) {
 	}
 }
 
+// BenchmarkScanHotKey scans a 16-key group whose middle key carries
+// about 1,000 memtable versions, the shape a zipfian update stream
+// leaves behind its hottest key: the scan pays for leaving those
+// versions, not just for the 16 entries it returns.
+func BenchmarkScanHotKey(b *testing.B) {
+	db, err := core.Open(core.DefaultOptions(vfs.NewMem(), "db"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	const group, versions = 16, 1000
+	val := make([]byte, 100)
+	for i := 0; i < group; i++ {
+		if err := db.Put(workload.Key(int64(i)), val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	hot := workload.Key(group / 2)
+	for v := 0; v < versions; v++ {
+		if err := db.Put(hot, val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	start, end := workload.Key(0), workload.Key(group)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kvs, err := db.Scan(start, end, group)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(kvs) != group {
+			b.Fatalf("scan returned %d entries, want %d", len(kvs), group)
+		}
+	}
+}
+
 // BenchmarkAblationFilterModes isolates the filter design choice called
 // out in DESIGN.md: zero-result gets with no filter, uniform filters,
 // and Monkey allocation, on identical trees.

@@ -30,6 +30,8 @@ type Iterator struct {
 
 	key        []byte
 	value      []byte
+	seekKey    []byte // skip target; starts in seekBuf so typical keys never allocate
+	seekBuf    [64]byte
 	valid      bool
 	srcPastKey bool // merge resolution left the stream on the next key
 	err        error
@@ -73,6 +75,7 @@ func (db *DB) NewIterator(opts IterOptions) (*Iterator, error) {
 func (db *DB) newIterator(opts IterOptions) (*Iterator, error) {
 	view := db.acquireView(opts.snapshot)
 	it := &Iterator{db: db, opts: opts, seq: view.seq}
+	it.seekKey = it.seekBuf[:0]
 
 	var sources []kv.Iterator
 	for _, mw := range view.mems {
@@ -138,15 +141,23 @@ func (it *Iterator) inBounds(ukey []byte) bool {
 // settle advances the merged stream until it rests on the newest
 // visible live version of some user key, loading it into key/value.
 func (it *Iterator) settle(srcValid bool) bool {
+	newer := 0 // invisible versions stepped over since the last seek
 	for srcValid {
 		ukey, seq, kind, _ := kv.ParseKey(it.merge.Key())
 		if !it.inBounds(ukey) {
 			it.valid = false
 			return false
 		}
-		// Skip versions newer than the read snapshot.
+		// Skip versions newer than the read snapshot: step over a few,
+		// then seek to the key's newest visible version (or the next key).
 		if !kv.Visible(seq, it.seq) {
-			srcValid = it.merge.Next()
+			if newer++; newer <= maxSkipSteps {
+				srcValid = it.merge.Next()
+			} else {
+				newer = 0
+				it.seekKey = kv.AppendSearchKey(it.seekKey[:0], ukey, it.seq)
+				srcValid = it.merge.SeekPast(it.seekKey)
+			}
 			continue
 		}
 		// First visible version of this key is the newest one. Decide
@@ -196,15 +207,30 @@ func (it *Iterator) settle(srcValid bool) bool {
 	return false
 }
 
+// maxSkipSteps bounds how many superseded or invisible versions a scan
+// steps over with Next before it reseeks every source past them instead
+// (RocksDB's default max_sequential_skip_in_iterations). A hot key can
+// carry thousands of versions in the memtable and unflushed L0 runs;
+// stepping costs a heap fix per version, the seek one SeekGE per source.
+const maxSkipSteps = 8
+
 // skipKey advances the source past every version of ukey, reporting
 // whether the source remains valid.
 func (it *Iterator) skipKey(ukey []byte) bool {
-	for it.merge.Next() {
+	for n := 0; n < maxSkipSteps; n++ {
+		if !it.merge.Next() {
+			return false
+		}
 		if kv.CompareUser(kv.UserKey(it.merge.Key()), ukey) != 0 {
 			return true
 		}
 	}
-	return false
+	// The target is the newest search key of ukey+0x00, the next user
+	// key that can exist. It sorts after every version of ukey and before
+	// every other key, so all the entries skipped are versions of ukey.
+	it.seekKey = append(append(it.seekKey[:0], ukey...), 0)
+	it.seekKey = kv.AppendSearchKey(it.seekKey, nil, kv.MaxSeqNum)
+	return it.merge.SeekPast(it.seekKey)
 }
 
 // First positions at the first live entry.

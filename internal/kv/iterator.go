@@ -213,6 +213,33 @@ func (m *MergingIterator) Next() bool {
 	return m.Valid()
 }
 
+// SeekPast moves the merged stream forward to the first entry >= ikey.
+// Unlike SeekGE it never moves a source backwards: only sources whose
+// current key is below ikey seek, each by its own SeekGE(ikey); sources
+// already at or past ikey stay where they are. ikey must not be below
+// the current key.
+//
+// Every source is sorted and rests at or past the current key, so the
+// entries SeekPast passes over are exactly those in [current key, ikey)
+// — the ones a loop of Next would have stepped through. A scan uses it
+// to leave a hot user key's superseded versions with one seek per
+// source instead of one heap fix per version.
+func (m *MergingIterator) SeekPast(ikey []byte) bool {
+	for i := 0; i < len(m.heap); {
+		item := m.heap[i]
+		if Compare(item.iter.Key(), ikey) >= 0 || item.iter.SeekGE(ikey) {
+			i++
+			continue
+		}
+		m.noteExhausted(item.iter)
+		last := len(m.heap) - 1
+		m.heap[i] = m.heap[last]
+		m.heap = m.heap[:last]
+	}
+	heap.Init(&m.heap)
+	return m.Valid()
+}
+
 // noteExhausted records why a source stopped yielding: a source that
 // "ends" on a bad block must not masquerade as a short but healthy run.
 func (m *MergingIterator) noteExhausted(it Iterator) {

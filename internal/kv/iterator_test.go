@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -167,5 +168,121 @@ func TestMergingIteratorRandomizedAgainstSort(t *testing.T) {
 		if i != len(all) {
 			t.Fatalf("trial %d: merged %d entries, want %d", trial, i, len(all))
 		}
+	}
+}
+
+// failingIter is a sorted source whose entries from failAt on sit in a
+// bad block: landing there reports exhaustion and keeps the read error.
+type failingIter struct {
+	*SliceIterator
+	failAt int
+	err    error
+}
+
+var errBadBlock = errors.New("bad block")
+
+func (f *failingIter) check(ok bool) bool {
+	if ok && f.idx >= f.failAt {
+		f.err = errBadBlock
+		f.idx = len(f.entries)
+		return false
+	}
+	return ok
+}
+
+func (f *failingIter) First() bool           { return f.check(f.SliceIterator.First()) }
+func (f *failingIter) Next() bool            { return f.check(f.SliceIterator.Next()) }
+func (f *failingIter) SeekGE(ik []byte) bool { return f.check(f.SliceIterator.SeekGE(ik)) }
+func (f *failingIter) Error() error          { return f.err }
+
+// TestMergingIteratorSeekPastMatchesStepping checks SeekPast against
+// stepping with Next until the stream reaches the target, over random
+// sources with long runs of one user key's versions, including sources
+// that run out mid-seek.
+func TestMergingIteratorSeekPastMatchesStepping(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		runs := make([][]Entry, 1+r.Intn(6))
+		seq := SeqNum(1)
+		for i := range runs {
+			n := r.Intn(60)
+			for j := 0; j < n; j++ {
+				// Few user keys, so each source holds runs of versions.
+				k := []byte{byte('a' + r.Intn(4))}
+				s, kind := seq, Kind(r.Intn(6))
+				if r.Intn(20) == 0 {
+					s, kind = 0, KindDelete // (k, 0, 0): the smallest key of k
+				}
+				runs[i] = append(runs[i], Entry{Key: MakeKey(k, s, kind), Value: []byte{byte(seq)}})
+				seq++
+			}
+			sort.Slice(runs[i], func(x, y int) bool { return Compare(runs[i][x].Key, runs[i][y].Key) < 0 })
+		}
+		sources := func() []Iterator {
+			its := make([]Iterator, len(runs))
+			for i, run := range runs {
+				its[i] = NewSliceIterator(run)
+			}
+			return its
+		}
+		seek, step := NewMergingIterator(sources()...), NewMergingIterator(sources()...)
+		okSeek, okStep := seek.First(), step.First()
+		var target []byte
+		for moves := 0; okSeek && okStep; moves++ {
+			if Compare(seek.Key(), step.Key()) != 0 || string(seek.Value()) != string(step.Value()) {
+				t.Fatalf("trial %d move %d: SeekPast at %v, stepping at %v", trial, moves, seek.Key(), step.Key())
+			}
+			if r.Intn(3) == 0 {
+				okSeek, okStep = seek.Next(), step.Next()
+				continue
+			}
+			// Past every version of the current key, up to its smallest
+			// version, or past its versions newer than some snapshot.
+			ukey, cur, _, _ := ParseKey(seek.Key())
+			switch r.Intn(3) {
+			case 0:
+				target = AppendSearchKey(append(append(target[:0], ukey...), 0), nil, MaxSeqNum)
+			case 1:
+				target = AppendKey(target[:0], ukey, 0, 0)
+			default:
+				target = AppendSearchKey(target[:0], ukey, SeqNum(r.Intn(int(cur)+1)))
+			}
+			okSeek = seek.SeekPast(target)
+			for okStep = step.Valid(); okStep && Compare(step.Key(), target) < 0; {
+				okStep = step.Next()
+			}
+		}
+		if okSeek != okStep {
+			t.Fatalf("trial %d: SeekPast valid=%v, stepping valid=%v", trial, okSeek, okStep)
+		}
+	}
+}
+
+// TestMergingIteratorSeekPastExhaustedAndCorrupt checks that a source
+// SeekPast runs out of leaves the heap cleanly, and that one whose seek
+// lands on a bad block leaves it with the read error kept for Error.
+func TestMergingIteratorSeekPastExhaustedAndCorrupt(t *testing.T) {
+	short := NewSliceIterator(entriesOf("a@5=x", "a@3=y"))
+	corrupt := &failingIter{SliceIterator: NewSliceIterator(entriesOf("a@9=p", "a@8=q", "a@1=r", "b@10=s", "c@11=t")), failAt: 3}
+	rest := NewSliceIterator(entriesOf("a@7=u", "d@12=v"))
+	m := NewMergingIterator(short, corrupt, rest)
+	if !m.First() || string(m.Value()) != "p" {
+		t.Fatal("first")
+	}
+	if !m.SeekPast(AppendKey(nil, []byte("a"), 0, 0)) {
+		t.Fatal("stream must continue on the healthy source")
+	}
+	var got []string
+	for ok := m.Valid(); ok; ok = m.Next() {
+		got = append(got, string(m.Value()))
+	}
+	if fmt.Sprint(got) != "[v]" {
+		t.Fatalf("after SeekPast: %v, want [v]", got)
+	}
+	if short.Valid() || IterError(short) != nil {
+		t.Error("exhausted source must be invalid without an error")
+	}
+	if !errors.Is(m.Error(), errBadBlock) {
+		t.Fatalf("Error() = %v, want the bad block", m.Error())
 	}
 }

@@ -815,7 +815,7 @@ func (c *conn) handleScan(payload []byte, tc traceCtx) bool {
 	count := 0
 	scanned := 0
 	iterStart := tc.startNs
-	for ok := it.First(); ok && count < limit; ok = it.Next() {
+	for ok := it.First(); ok; ok = it.Next() {
 		// The deadline ticks on keys visited, not keys returned: a scan
 		// skipping past a foreign namespace must still stay in budget.
 		scanned++
@@ -838,7 +838,11 @@ func (c *conn) handleScan(payload []byte, tc traceCtx) bool {
 		}
 		body = wire.AppendBytes(body, it.Key())
 		body = wire.AppendBytes(body, it.Value())
-		count++
+		// Stop before Next: advancing past the last entry would walk
+		// its remaining versions for nothing.
+		if count++; count >= limit {
+			break
+		}
 	}
 	if err := it.Err(); err != nil {
 		done(err)
