@@ -317,9 +317,10 @@ func (db *DB) searchView(view readView, key []byte, hash uint64, profiled bool, 
 				return e, true, nil
 			}
 			if len(r.RangeTombstones()) == 0 && r.FilterSizeBytes() > 0 {
-				// The filter passed but the key was absent: a false
-				// positive worth counting (only unambiguous without
-				// range tombstones extending the key range).
+				// A filtered run that did not hold the key, whether the
+				// filter rejected it or passed it in vain (only
+				// unambiguous without range tombstones extending the
+				// key range); less FilterNegatives, the false positives.
 				db.m.FilterFalsePos.Add(1)
 				sp.AddFalsePositive()
 			}
@@ -327,9 +328,6 @@ func (db *DB) searchView(view readView, key []byte, hash uint64, profiled bool, 
 		}
 	}
 
-	if maxRT > 0 {
-		return kv.Entry{}, false, nil
-	}
 	return kv.Entry{}, false, nil
 }
 

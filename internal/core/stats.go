@@ -82,15 +82,33 @@ func (ts TreeStats) String() string {
 	return b.String()
 }
 
-// FormatStats renders the engine counters, derived amplification
-// figures, and — verbosely — the per-operation latency percentiles, for
+// StatsSource is the monitoring surface RenderStats reads. A single
+// tree and the sharded store (internal/partition) both provide it, so
+// their STATS blocks come from one renderer.
+type StatsSource interface {
+	Metrics() metrics.Snapshot
+	Latencies() metrics.LatencySnapshot
+	Health() Health
+	WorkloadProfile() WorkloadProfile
+	TreeStats() TreeStats
+	SpaceAmplification() float64
+	DiskUsageBytes() uint64
+	CommitGroupSizes() metrics.HistogramSnapshot
+}
+
+// FormatStats renders the engine's stats block (see RenderStats) for
 // lsmctl stats and logs.
-func (db *DB) FormatStats(verbose bool) string {
-	s := db.m.Snapshot()
+func (db *DB) FormatStats(verbose bool) string { return RenderStats(db, verbose) }
+
+// RenderStats renders the engine counters, derived amplification
+// figures, and — verbosely — the per-level profile, the per-operation
+// latency percentiles and the tree shape.
+func RenderStats(e StatsSource, verbose bool) string {
+	s := e.Metrics()
 	var b strings.Builder
 	b.WriteString(s.String())
 	fmt.Fprintf(&b, "\nspace_amp=%.2f disk=%d bytes cache_hit=%.2f throttle_ms=%d",
-		db.SpaceAmplification(), db.DiskUsageBytes(), s.CacheHitRate(), s.ThrottleNs/1e6)
+		e.SpaceAmplification(), e.DiskUsageBytes(), s.CacheHitRate(), s.ThrottleNs/1e6)
 	fmt.Fprintf(&b, "\nblock_reads=%d (cached %d) commit_groups=%d avg_group=%.2f wal_syncs=%d syncs_saved=%d",
 		s.BlockReads, s.BlockReadsCached, s.CommitGroups, s.AvgCommitGroupSize(),
 		s.WALSyncs, s.WALSyncsSaved)
@@ -98,7 +116,7 @@ func (db *DB) FormatStats(verbose bool) string {
 	// background error is visible the moment it happens, not at Close.
 	// Injected errors carry op+path (faultfs.OpError, os.PathError), so
 	// the failing operation and file name surface here.
-	h := db.Health()
+	h := e.Health()
 	switch {
 	case h.Degraded:
 		fmt.Fprintf(&b, "\ndegraded=true op=%s kind=%s cause=%q", h.Op, h.Kind, h.Cause)
@@ -110,7 +128,7 @@ func (db *DB) FormatStats(verbose bool) string {
 	if s.ScrubbedTables > 0 || s.ScrubCorruptions > 0 {
 		fmt.Fprintf(&b, " scrubbed=%d scrub_corruptions=%d", s.ScrubbedTables, s.ScrubCorruptions)
 	}
-	wp := db.WorkloadProfile()
+	wp := e.WorkloadProfile()
 	if wp.Enabled {
 		// The measured workload character and RUM point over the decay
 		// window — the live versions of the figures the paper's tuning
@@ -146,14 +164,14 @@ func (db *DB) FormatStats(verbose bool) string {
 		}
 	}
 	if verbose {
-		lat := db.m.Latencies()
+		lat := e.Latencies()
 		fmt.Fprintf(&b, "\nlatency (this process):")
 		fmt.Fprintf(&b, "\n  get        %s", lat.Get)
 		fmt.Fprintf(&b, "\n  put        %s", lat.Put)
 		fmt.Fprintf(&b, "\n  scan-next  %s", lat.ScanNext)
 		fmt.Fprintf(&b, "\n  flush      %s", lat.Flush)
 		fmt.Fprintf(&b, "\n  compaction %s", lat.Compaction)
-		gs := db.m.GroupSizes()
+		gs := e.CommitGroupSizes()
 		if gs.N > 0 {
 			fmt.Fprintf(&b, "\ncommit group size: n=%d mean=%.2f max=%d",
 				gs.N, gs.Mean(), gs.Max)
@@ -161,7 +179,7 @@ func (db *DB) FormatStats(verbose bool) string {
 		// The tree shape rides along verbosely so remote consumers
 		// (lsmctl top over the STATS verb) see per-level runs/bytes
 		// without a second round trip.
-		fmt.Fprintf(&b, "\n%s", db.TreeStats())
+		fmt.Fprintf(&b, "\n%s", e.TreeStats())
 	}
 	return b.String()
 }

@@ -6,90 +6,125 @@ package metrics
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"sync/atomic"
 )
 
-// Metrics is the set of counters maintained by one engine instance.
-type Metrics struct {
+// Counters declares every counter once. Metrics instantiates it with
+// atomic cells for the hot path, Snapshot with plain values; Snapshot,
+// Sub, Add and the /metrics exposition all iterate these fields, so a
+// new counter is one field here. Each field's prom tag is its
+// Prometheus series name (without the lsmlab_ prefix), optionally
+// followed by ",gauge"; help is its HELP text. Counters sum across
+// shards and subtract across intervals; gauges merge by max and an
+// interval keeps the later value.
+type Counters[T any] struct {
 	// Write path.
-	Puts          atomic.Int64 // user put operations
-	Deletes       atomic.Int64 // user delete operations (all kinds)
-	BytesIngested atomic.Int64 // user key+value bytes accepted
-	WALBytes      atomic.Int64 // bytes appended to the write-ahead log
+	Puts          T `prom:"puts_total" help:"User put operations."`
+	Deletes       T `prom:"deletes_total" help:"User delete operations."` // all kinds
+	BytesIngested T `prom:"bytes_ingested_total" help:"User key+value bytes accepted."`
+	WALBytes      T `prom:"wal_bytes_total" help:"Bytes appended to the write-ahead log."`
 
 	// Group commit (the leader-based commit pipeline).
-	CommitGroups  atomic.Int64 // commit groups written (one WAL write each)
-	CommitBatches atomic.Int64 // batches committed across all groups
-	WALSyncs      atomic.Int64 // WAL syncs issued (one per group under SyncWAL)
-	WALSyncsSaved atomic.Int64 // syncs avoided by group coalescing (group size - 1 each)
+	CommitGroups  T `prom:"commit_groups_total" help:"Commit groups written (one WAL write each)."`
+	CommitBatches T `prom:"commit_batches_total" help:"Batches committed across all groups."`
+	WALSyncs      T `prom:"wal_syncs_total" help:"WAL syncs issued."`                        // one per group under SyncWAL
+	WALSyncsSaved T `prom:"wal_syncs_saved_total" help:"Syncs avoided by group coalescing."` // group size - 1 each
 
-	// Read path.
-	Gets            atomic.Int64 // user point lookups
-	GetHits         atomic.Int64 // lookups that found a live value
-	Scans           atomic.Int64 // user range scans
-	ScanEntries     atomic.Int64 // entries returned by Scan (mean scan length = ScanEntries/Scans)
-	RunsProbed      atomic.Int64 // sorted runs consulted by point lookups
-	FilterProbes    atomic.Int64 // bloom filter probes
-	FilterNegatives atomic.Int64 // probes that skipped a run
-	FilterFalsePos  atomic.Int64 // probes that passed but found nothing
+	// Read path. FilterFalsePos counts every filtered run (one without
+	// range tombstones) that did not hold the key, the filter's
+	// negatives included: FilterFalsePos - FilterNegatives is the
+	// filter's true false positives.
+	Gets            T `prom:"gets_total" help:"User point lookups."`
+	GetHits         T `prom:"get_hits_total" help:"Lookups that found a live value."`
+	Scans           T `prom:"scans_total" help:"User range scans."`
+	ScanEntries     T `prom:"scan_entries_total" help:"Entries returned by range scans."` // mean scan length = ScanEntries/Scans
+	RunsProbed      T `prom:"runs_probed_total" help:"Sorted runs consulted by point lookups."`
+	FilterProbes    T `prom:"filter_probes_total" help:"Bloom filter probes."`
+	FilterNegatives T `prom:"filter_negatives_total" help:"Filter probes that skipped a run."`
+	FilterFalsePos  T `prom:"filter_false_positives_total" help:"Filtered runs probed that did not hold the key, filter negatives included."`
 
 	// Structure maintenance.
-	Flushes                atomic.Int64 // memtable flushes
-	FlushBytes             atomic.Int64 // bytes written by flushes
-	Compactions            atomic.Int64 // compaction jobs completed
-	AgeCompactions         atomic.Int64 // jobs triggered by tombstone age (FADE)
-	CompactionBytesRead    atomic.Int64 // bytes read by compactions
-	CompactionBytesWritten atomic.Int64 // bytes written by compactions
-	TombstonesDropped      atomic.Int64 // tombstones purged by compaction
-	EntriesDropped         atomic.Int64 // invalidated entries purged
+	Flushes                T `prom:"flushes_total" help:"Memtable flushes."`
+	FlushBytes             T `prom:"flush_bytes_total" help:"Bytes written by flushes."`
+	Compactions            T `prom:"compactions_total" help:"Compaction jobs completed."`
+	AgeCompactions         T `prom:"age_compactions_total" help:"Compaction jobs triggered by tombstone age."` // FADE
+	CompactionBytesRead    T `prom:"compaction_bytes_read_total" help:"Bytes read by compactions."`
+	CompactionBytesWritten T `prom:"compaction_bytes_written_total" help:"Bytes written by compactions."`
+	TombstonesDropped      T `prom:"tombstones_dropped_total" help:"Tombstones purged by compaction."`
+	EntriesDropped         T `prom:"entries_dropped_total" help:"Invalidated entries purged by compaction."`
 
 	// Stalls.
-	StallNs     atomic.Int64 // total time writers spent stalled
-	WriteStalls atomic.Int64 // number of stall events
-	StallAborts atomic.Int64 // stalls aborted by Options.StallTimeout (backpressure)
-	ThrottleNs  atomic.Int64 // time compactions paused in the bandwidth throttle
+	StallNs     T `prom:"stall_ns_total" help:"Total time writers spent stalled, ns."`
+	WriteStalls T `prom:"write_stalls_total" help:"Write stall events."`
+	StallAborts T `prom:"stall_aborts_total" help:"Writes aborted by the stall timeout (backpressure)."`
+	ThrottleNs  T `prom:"throttle_ns_total" help:"Time compactions paused in the bandwidth throttle, ns."`
 
-	// Block cache and table I/O. BlockReads counts data-block fetches by
-	// the sstable readers; BlockReadsCached is the subset served from the
-	// block cache without touching the filesystem.
-	CacheHits        atomic.Int64
-	CacheMisses      atomic.Int64
-	BlockReads       atomic.Int64
-	BlockReadsCached atomic.Int64
+	// Block cache and table I/O. BlockReadsCached is the subset of
+	// BlockReads served from the block cache without touching the
+	// filesystem.
+	CacheHits        T `prom:"cache_hits_total" help:"Block cache hits."`
+	CacheMisses      T `prom:"cache_misses_total" help:"Block cache misses."`
+	BlockReads       T `prom:"block_reads_total" help:"Data-block fetches by sstable readers."`
+	BlockReadsCached T `prom:"block_reads_cached_total" help:"Block fetches served from the cache."`
 
-	// Robustness. Degraded is a 0/1 gauge set when the engine enters
-	// read-only degraded mode; BgRetries counts background flush or
-	// compaction attempts that failed (and were retried or escalated).
-	// The scrub counters accumulate across DB.Scrub passes.
-	Degraded         atomic.Int64 // 1 once the engine is read-only degraded
-	BgRetries        atomic.Int64 // failed background job attempts
-	ScrubbedTables   atomic.Int64 // sstables checked by scrubs
-	ScrubCorruptions atomic.Int64 // corrupt files found by scrubs
+	// Robustness. Degraded is a 0/1 gauge; the scrub counters accumulate
+	// across DB.Scrub passes.
+	Degraded         T `prom:"degraded,gauge" help:"1 once the engine is read-only degraded."`
+	BgRetries        T `prom:"bg_retries_total" help:"Failed background job attempts."`
+	ScrubbedTables   T `prom:"scrubbed_tables_total" help:"Sstables checked by scrubs."`
+	ScrubCorruptions T `prom:"scrub_corruptions_total" help:"Corrupt files found by scrubs."`
 
 	// Network serving layer (maintained by internal/server; a server
 	// owns its own Metrics instance, separate from the engine's, so
 	// these stay zero on an embedded DB). ConnsOpened - ConnsClosed is
 	// the live connection count.
-	ConnsOpened      atomic.Int64 // connections accepted
-	ConnsClosed      atomic.Int64 // connections fully torn down
-	ConnsRejected    atomic.Int64 // connections refused at the MaxConns limit
-	NetRequests      atomic.Int64 // request frames received
-	NetRequestErrors atomic.Int64 // requests answered with an error status
-	NetThrottled     atomic.Int64 // requests answered with StatusThrottled (all tenants)
-	NetBytesRead     atomic.Int64 // request frame bytes received
-	NetBytesWritten  atomic.Int64 // response frame bytes sent
+	ConnsOpened      T `prom:"conns_opened_total" help:"Connections accepted."`
+	ConnsClosed      T `prom:"conns_closed_total" help:"Connections fully torn down."`
+	ConnsRejected    T `prom:"conns_rejected_total" help:"Connections refused at the limit."`
+	NetRequests      T `prom:"net_requests_total" help:"Request frames received."`
+	NetRequestErrors T `prom:"net_request_errors_total" help:"Requests answered with an error status."`
+	NetThrottled     T `prom:"net_throttled_total" help:"Requests answered with StatusThrottled (quota or backpressure)."`
+	NetBytesRead     T `prom:"net_bytes_read_total" help:"Request frame bytes received."`
+	NetBytesWritten  T `prom:"net_bytes_written_total" help:"Response frame bytes sent."`
 
 	// Replication. Leader-side counters are maintained by the serving
 	// layer as it handles the replication verbs; follower-side counters
 	// are merged into the engine snapshot by the replica engine wrapper.
 	// On a server that is neither, all stay zero.
-	ReplSubscribes     atomic.Int64 // follower stream subscriptions accepted (leader)
-	ReplFramesShipped  atomic.Int64 // WAL group frames streamed to followers (leader)
-	ReplGapsSignaled   atomic.Int64 // gap frames sent (leader) or stream gaps observed (follower)
-	ReplAcks           atomic.Int64 // follower watermark acks recorded (leader)
-	ReplRepairPages    atomic.Int64 // Merkle repair pages served (leader)
-	ReplBatchesApplied atomic.Int64 // shipped WAL batches applied (follower)
-	ReplRepairOps      atomic.Int64 // ops ingested via anti-entropy (follower)
+	ReplSubscribes     T `prom:"repl_subscribes_total" help:"Follower stream subscriptions accepted."`
+	ReplFramesShipped  T `prom:"repl_frames_shipped_total" help:"WAL group frames streamed to followers."`
+	ReplGapsSignaled   T `prom:"repl_gaps_total" help:"Gap frames sent (leader) or stream gaps observed (follower)."`
+	ReplAcks           T `prom:"repl_acks_total" help:"Follower watermark acks recorded."`
+	ReplRepairPages    T `prom:"repl_repair_pages_total" help:"Merkle repair pages served."`
+	ReplBatchesApplied T `prom:"repl_batches_applied_total" help:"Shipped WAL batches applied by this follower."`
+	ReplRepairOps      T `prom:"repl_repair_ops_total" help:"Ops ingested via anti-entropy repair."`
+}
+
+// Field describes one declared counter.
+type Field struct {
+	Name  string // Prometheus series name, without the lsmlab_ prefix
+	Help  string
+	Gauge bool
+}
+
+// fields holds the Counters metadata in declaration order, read once
+// from the struct tags.
+var fields = func() []Field {
+	t := reflect.TypeOf(Counters[int64]{})
+	fs := make([]Field, t.NumField())
+	for i := range fs {
+		tag := t.Field(i).Tag
+		name, kind, _ := strings.Cut(tag.Get("prom"), ",")
+		fs[i] = Field{Name: name, Help: tag.Get("help"), Gauge: kind == "gauge"}
+	}
+	return fs
+}()
+
+// Metrics is the set of counters maintained by one engine instance.
+type Metrics struct {
+	Counters[atomic.Int64]
 
 	// Latency distributions (log-bucketed; see histogram.go). Counters
 	// answer "how much", these answer "how long" — the tail behavior
@@ -127,84 +162,53 @@ func (m *Metrics) Latencies() LatencySnapshot {
 }
 
 // Snapshot is an immutable copy of the counters at one instant.
-type Snapshot struct {
-	Puts, Deletes, BytesIngested, WALBytes        int64
-	CommitGroups, CommitBatches                   int64
-	WALSyncs, WALSyncsSaved                       int64
-	Gets, GetHits, Scans, ScanEntries, RunsProbed int64
-	FilterProbes, FilterNegatives, FilterFalsePos int64
-	Flushes, FlushBytes, Compactions              int64
-	AgeCompactions                                int64
-	CompactionBytesRead, CompactionBytesWritten   int64
-	TombstonesDropped, EntriesDropped             int64
-	StallNs, WriteStalls, StallAborts, ThrottleNs int64
-	CacheHits, CacheMisses                        int64
-	BlockReads, BlockReadsCached                  int64
-	Degraded, BgRetries                           int64
-	ScrubbedTables, ScrubCorruptions              int64
-	ConnsOpened, ConnsClosed, ConnsRejected       int64
-	NetRequests, NetRequestErrors, NetThrottled   int64
-	NetBytesRead, NetBytesWritten                 int64
-	ReplSubscribes, ReplFramesShipped             int64
-	ReplGapsSignaled, ReplAcks, ReplRepairPages   int64
-	ReplBatchesApplied, ReplRepairOps             int64
-}
+type Snapshot Counters[int64]
 
 // Snapshot returns a copy of the current counter values.
 func (m *Metrics) Snapshot() Snapshot {
-	return Snapshot{
-		Puts:                   m.Puts.Load(),
-		Deletes:                m.Deletes.Load(),
-		BytesIngested:          m.BytesIngested.Load(),
-		WALBytes:               m.WALBytes.Load(),
-		CommitGroups:           m.CommitGroups.Load(),
-		CommitBatches:          m.CommitBatches.Load(),
-		WALSyncs:               m.WALSyncs.Load(),
-		WALSyncsSaved:          m.WALSyncsSaved.Load(),
-		Gets:                   m.Gets.Load(),
-		GetHits:                m.GetHits.Load(),
-		Scans:                  m.Scans.Load(),
-		ScanEntries:            m.ScanEntries.Load(),
-		RunsProbed:             m.RunsProbed.Load(),
-		FilterProbes:           m.FilterProbes.Load(),
-		FilterNegatives:        m.FilterNegatives.Load(),
-		FilterFalsePos:         m.FilterFalsePos.Load(),
-		Flushes:                m.Flushes.Load(),
-		FlushBytes:             m.FlushBytes.Load(),
-		Compactions:            m.Compactions.Load(),
-		AgeCompactions:         m.AgeCompactions.Load(),
-		CompactionBytesRead:    m.CompactionBytesRead.Load(),
-		CompactionBytesWritten: m.CompactionBytesWritten.Load(),
-		TombstonesDropped:      m.TombstonesDropped.Load(),
-		EntriesDropped:         m.EntriesDropped.Load(),
-		StallNs:                m.StallNs.Load(),
-		WriteStalls:            m.WriteStalls.Load(),
-		StallAborts:            m.StallAborts.Load(),
-		ThrottleNs:             m.ThrottleNs.Load(),
-		CacheHits:              m.CacheHits.Load(),
-		CacheMisses:            m.CacheMisses.Load(),
-		BlockReads:             m.BlockReads.Load(),
-		BlockReadsCached:       m.BlockReadsCached.Load(),
-		Degraded:               m.Degraded.Load(),
-		BgRetries:              m.BgRetries.Load(),
-		ScrubbedTables:         m.ScrubbedTables.Load(),
-		ScrubCorruptions:       m.ScrubCorruptions.Load(),
-		ConnsOpened:            m.ConnsOpened.Load(),
-		ConnsClosed:            m.ConnsClosed.Load(),
-		ConnsRejected:          m.ConnsRejected.Load(),
-		NetRequests:            m.NetRequests.Load(),
-		NetRequestErrors:       m.NetRequestErrors.Load(),
-		NetThrottled:           m.NetThrottled.Load(),
-		NetBytesRead:           m.NetBytesRead.Load(),
-		NetBytesWritten:        m.NetBytesWritten.Load(),
-		ReplSubscribes:         m.ReplSubscribes.Load(),
-		ReplFramesShipped:      m.ReplFramesShipped.Load(),
-		ReplGapsSignaled:       m.ReplGapsSignaled.Load(),
-		ReplAcks:               m.ReplAcks.Load(),
-		ReplRepairPages:        m.ReplRepairPages.Load(),
-		ReplBatchesApplied:     m.ReplBatchesApplied.Load(),
-		ReplRepairOps:          m.ReplRepairOps.Load(),
+	var s Snapshot
+	src, dst := reflect.ValueOf(&m.Counters).Elem(), reflect.ValueOf(&s).Elem()
+	for i := range fields {
+		dst.Field(i).SetInt(src.Field(i).Addr().Interface().(*atomic.Int64).Load())
 	}
+	return s
+}
+
+// Each calls fn with every counter's metadata and value, in
+// declaration order.
+func (s Snapshot) Each(fn func(f Field, v int64)) {
+	v := reflect.ValueOf(&s).Elem()
+	for i, f := range fields {
+		fn(f, v.Field(i).Int())
+	}
+}
+
+// combine folds o into s field by field: counters through counter,
+// gauges through gauge.
+func (s Snapshot) combine(o Snapshot, counter, gauge func(a, b int64) int64) Snapshot {
+	a, b := reflect.ValueOf(&s).Elem(), reflect.ValueOf(&o).Elem()
+	for i, f := range fields {
+		op := counter
+		if f.Gauge {
+			op = gauge
+		}
+		a.Field(i).SetInt(op(a.Field(i).Int(), b.Field(i).Int()))
+	}
+	return s
+}
+
+// Sub returns s - o counter-wise, for measuring an interval. Gauges
+// keep s's value: an interval reports the current state, not a delta
+// (which would always be 0 and hide the condition).
+func (s Snapshot) Sub(o Snapshot) Snapshot {
+	return s.combine(o, func(a, b int64) int64 { return a - b }, func(a, _ int64) int64 { return a })
+}
+
+// Add returns s + o counter-wise, for summing shards or an engine and
+// its serving layer. Gauges take the max, so one degraded shard marks
+// the sum degraded.
+func (s Snapshot) Add(o Snapshot) Snapshot {
+	return s.combine(o, func(a, b int64) int64 { return a + b }, func(a, b int64) int64 { return max(a, b) })
 }
 
 // AvgCommitGroupSize is the mean number of batches coalesced per commit
@@ -251,63 +255,6 @@ func (s Snapshot) CacheHitRate() float64 {
 		return 0
 	}
 	return float64(s.CacheHits) / float64(total)
-}
-
-// Sub returns s - o component-wise, for measuring an interval.
-func (s Snapshot) Sub(o Snapshot) Snapshot {
-	return Snapshot{
-		Puts:                   s.Puts - o.Puts,
-		Deletes:                s.Deletes - o.Deletes,
-		BytesIngested:          s.BytesIngested - o.BytesIngested,
-		WALBytes:               s.WALBytes - o.WALBytes,
-		CommitGroups:           s.CommitGroups - o.CommitGroups,
-		CommitBatches:          s.CommitBatches - o.CommitBatches,
-		WALSyncs:               s.WALSyncs - o.WALSyncs,
-		WALSyncsSaved:          s.WALSyncsSaved - o.WALSyncsSaved,
-		Gets:                   s.Gets - o.Gets,
-		GetHits:                s.GetHits - o.GetHits,
-		Scans:                  s.Scans - o.Scans,
-		ScanEntries:            s.ScanEntries - o.ScanEntries,
-		RunsProbed:             s.RunsProbed - o.RunsProbed,
-		FilterProbes:           s.FilterProbes - o.FilterProbes,
-		FilterNegatives:        s.FilterNegatives - o.FilterNegatives,
-		FilterFalsePos:         s.FilterFalsePos - o.FilterFalsePos,
-		Flushes:                s.Flushes - o.Flushes,
-		FlushBytes:             s.FlushBytes - o.FlushBytes,
-		Compactions:            s.Compactions - o.Compactions,
-		AgeCompactions:         s.AgeCompactions - o.AgeCompactions,
-		CompactionBytesRead:    s.CompactionBytesRead - o.CompactionBytesRead,
-		CompactionBytesWritten: s.CompactionBytesWritten - o.CompactionBytesWritten,
-		TombstonesDropped:      s.TombstonesDropped - o.TombstonesDropped,
-		EntriesDropped:         s.EntriesDropped - o.EntriesDropped,
-		StallNs:                s.StallNs - o.StallNs,
-		WriteStalls:            s.WriteStalls - o.WriteStalls,
-		StallAborts:            s.StallAborts - o.StallAborts,
-		ThrottleNs:             s.ThrottleNs - o.ThrottleNs,
-		CacheHits:              s.CacheHits - o.CacheHits,
-		CacheMisses:            s.CacheMisses - o.CacheMisses,
-		BlockReads:             s.BlockReads - o.BlockReads,
-		BlockReadsCached:       s.BlockReadsCached - o.BlockReadsCached,
-		Degraded:               s.Degraded, // gauge: intervals keep the current state
-		BgRetries:              s.BgRetries - o.BgRetries,
-		ScrubbedTables:         s.ScrubbedTables - o.ScrubbedTables,
-		ScrubCorruptions:       s.ScrubCorruptions - o.ScrubCorruptions,
-		ConnsOpened:            s.ConnsOpened - o.ConnsOpened,
-		ConnsClosed:            s.ConnsClosed - o.ConnsClosed,
-		ConnsRejected:          s.ConnsRejected - o.ConnsRejected,
-		NetRequests:            s.NetRequests - o.NetRequests,
-		NetRequestErrors:       s.NetRequestErrors - o.NetRequestErrors,
-		NetThrottled:           s.NetThrottled - o.NetThrottled,
-		NetBytesRead:           s.NetBytesRead - o.NetBytesRead,
-		NetBytesWritten:        s.NetBytesWritten - o.NetBytesWritten,
-		ReplSubscribes:         s.ReplSubscribes - o.ReplSubscribes,
-		ReplFramesShipped:      s.ReplFramesShipped - o.ReplFramesShipped,
-		ReplGapsSignaled:       s.ReplGapsSignaled - o.ReplGapsSignaled,
-		ReplAcks:               s.ReplAcks - o.ReplAcks,
-		ReplRepairPages:        s.ReplRepairPages - o.ReplRepairPages,
-		ReplBatchesApplied:     s.ReplBatchesApplied - o.ReplBatchesApplied,
-		ReplRepairOps:          s.ReplRepairOps - o.ReplRepairOps,
-	}
 }
 
 // String renders the headline numbers for logs and the lsmctl stats

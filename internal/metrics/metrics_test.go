@@ -140,3 +140,64 @@ func TestString(t *testing.T) {
 		t.Errorf("String() = %q", s)
 	}
 }
+
+func TestAddSumsCountersAndMaxesGauges(t *testing.T) {
+	var a, b, c Metrics
+	a.Puts.Store(3)
+	b.Puts.Store(4)
+	c.Puts.Store(5)
+	a.NetRequests.Store(7)
+	b.Degraded.Store(1)
+	sum := a.Snapshot().Add(b.Snapshot()).Add(c.Snapshot())
+	if sum.Puts != 12 || sum.NetRequests != 7 {
+		t.Errorf("Add counters: puts=%d net_requests=%d, want 12 and 7", sum.Puts, sum.NetRequests)
+	}
+	// One degraded shard marks the sum degraded, wherever it sits in
+	// the fold, and never counts past 1.
+	if sum.Degraded != 1 {
+		t.Errorf("Add Degraded = %d, want 1", sum.Degraded)
+	}
+	if d := b.Snapshot().Add(b.Snapshot()); d.Degraded != 1 {
+		t.Errorf("Add of two degraded = %d, want 1", d.Degraded)
+	}
+	// Sub undoes Add on counters and keeps the gauge of its left side.
+	back := sum.Sub(c.Snapshot())
+	if back.Puts != 7 || back.Degraded != 1 {
+		t.Errorf("Sub after Add: puts=%d degraded=%d, want 7 and 1", back.Puts, back.Degraded)
+	}
+}
+
+func TestFieldsDeclaredOnce(t *testing.T) {
+	names, helps := map[string]bool{}, map[string]bool{}
+	var gauges []string
+	for _, f := range fields {
+		if f.Name == "" || f.Help == "" {
+			t.Errorf("counter %+v lacks a name or help text", f)
+		}
+		if names[f.Name] || helps[f.Help] {
+			t.Errorf("counter %q repeats a name or help text", f.Name)
+		}
+		names[f.Name], helps[f.Help] = true, true
+		if f.Gauge {
+			gauges = append(gauges, f.Name)
+		}
+	}
+	if len(gauges) != 1 || gauges[0] != "degraded" {
+		t.Errorf("gauges = %v, want [degraded]", gauges)
+	}
+}
+
+func TestSnapshotArithmeticAllocFree(t *testing.T) {
+	var m Metrics
+	m.Puts.Store(1)
+	base := m.Snapshot()
+	var sink Snapshot
+	if n := testing.AllocsPerRun(100, func() {
+		sink = m.Snapshot().Sub(base).Add(base)
+	}); n != 0 {
+		t.Errorf("Snapshot+Sub+Add allocate %v times per call, want 0", n)
+	}
+	if sink.Puts != 1 {
+		t.Errorf("puts = %d", sink.Puts)
+	}
+}

@@ -48,20 +48,23 @@ func (s *Store) WaitIdle() {
 	}
 }
 
-// Metrics sums the per-shard counters.
+// Metrics sums the per-shard counters; the Degraded gauge is 1 if any
+// shard is degraded.
 func (s *Store) Metrics() metrics.Snapshot {
 	var total metrics.Snapshot
 	for _, p := range s.parts {
-		total = sumSnapshots(total, p.Metrics())
+		total = total.Add(p.Metrics())
 	}
 	return total
 }
 
-func sumSnapshots(a, b metrics.Snapshot) metrics.Snapshot {
-	// Snapshot exposes Sub but not Add; sum field-wise via Sub of a
-	// zero value: a + b == a - (0 - b).
-	var zero metrics.Snapshot
-	return a.Sub(zero.Sub(b))
+// CommitGroupSizes merges the per-shard commit-group-size histograms.
+func (s *Store) CommitGroupSizes() metrics.HistogramSnapshot {
+	var total metrics.HistogramSnapshot
+	for _, p := range s.parts {
+		total = total.Merge(p.CommitGroupSizes())
+	}
+	return total
 }
 
 // Latencies merges the per-shard latency histograms.
@@ -247,66 +250,20 @@ func (s *Store) WorkloadProfile() core.WorkloadProfile {
 	return core.MergeProfiles(ps)
 }
 
-// FormatStats renders the aggregated counters in the same shape as a
-// single tree's block, followed by one row per shard — memtable bytes,
-// L0 runs, compaction backlog, disk, health — so hot-shard skew is
-// visible at a glance (lsmctl stats/top read this over the STATS verb).
+// FormatStats renders the aggregated counters with the single tree's
+// renderer (core.RenderStats), followed by one row per shard — memtable
+// bytes, L0 runs, compaction backlog, disk, health — so hot-shard skew
+// is visible at a glance (lsmctl stats/top read this over the STATS
+// verb).
 func (s *Store) FormatStats(verbose bool) string {
-	m := s.Metrics()
 	var b strings.Builder
-	b.WriteString(m.String())
-	fmt.Fprintf(&b, "\nspace_amp=%.2f disk=%d bytes cache_hit=%.2f throttle_ms=%d",
-		s.SpaceAmplification(), s.DiskUsageBytes(), m.CacheHitRate(), m.ThrottleNs/1e6)
-	fmt.Fprintf(&b, "\nblock_reads=%d (cached %d) commit_groups=%d avg_group=%.2f wal_syncs=%d syncs_saved=%d",
-		m.BlockReads, m.BlockReadsCached, m.CommitGroups, m.AvgCommitGroupSize(),
-		m.WALSyncs, m.WALSyncsSaved)
-	h := s.Health()
-	switch {
-	case h.Degraded:
-		fmt.Fprintf(&b, "\ndegraded=true op=%s kind=%s cause=%q", h.Op, h.Kind, h.Cause)
-	case h.BgErr != "":
-		fmt.Fprintf(&b, "\ndegraded=false bg_err_op=%s bg_err=%q", h.BgErrOp, h.BgErr)
-	default:
-		fmt.Fprintf(&b, "\ndegraded=false")
-	}
-	if m.ScrubbedTables > 0 || m.ScrubCorruptions > 0 {
-		fmt.Fprintf(&b, " scrubbed=%d scrub_corruptions=%d", m.ScrubbedTables, m.ScrubCorruptions)
-	}
-	wp := s.WorkloadProfile()
-	if wp.Enabled {
-		fmt.Fprintf(&b, "\nworkload: gets=%d puts=%d deletes=%d scans=%d mean_scan_len=%.1f distinct~%d zipf_s=%.2f top_share=%.2f",
-			wp.Gets, wp.Puts, wp.Deletes, wp.Scans, wp.MeanScanLen, wp.DistinctKeys, wp.ZipfS, wp.TopShare)
-		fmt.Fprintf(&b, "\nrum(window): read_amp=%.2f write_amp=%.2f space_amp=%.2f",
-			wp.ReadAmp, wp.WriteAmp, wp.SpaceAmp)
-	}
-	if verbose && wp.Enabled {
-		for _, lp := range wp.Levels {
-			fmt.Fprintf(&b, "\n  L%d: runs=%d probes/get=%.2f block_reads=%d (cached %d) bytes_read=%d bytes_written=%d compact_in=%d",
-				lp.Level, lp.LiveRuns, lp.ReadAmp, lp.BlockReads, lp.BlockReadsCached,
-				lp.BytesRead, lp.BytesWritten, lp.CompactionBytesIn)
-		}
-		for _, tw := range wp.Tenants {
-			fmt.Fprintf(&b, "\n  tenant %s: ops~%d gets=%d puts=%d deletes=%d scans=%d",
-				tw.Tenant, tw.Ops, tw.Gets, tw.Puts, tw.Deletes, tw.Scans)
-		}
-	}
+	b.WriteString(core.RenderStats(s, verbose))
 	fmt.Fprintf(&b, "\nshards=%d", len(s.parts))
 	for i, p := range s.parts {
 		ts := p.TreeStats()
-		ph := p.Health()
 		fmt.Fprintf(&b, "\n  shard %03d: mem=%dB l0_runs=%d backlog=%dB runs=%d files=%d disk=%dB degraded=%v",
 			i, ts.MemtableBytes, ts.L0Runs, ts.BacklogBytes, ts.TotalRuns, ts.TotalFiles,
-			p.DiskUsageBytes(), ph.Degraded)
-	}
-	if verbose {
-		lat := s.Latencies()
-		fmt.Fprintf(&b, "\nlatency (this process):")
-		fmt.Fprintf(&b, "\n  get        %s", lat.Get)
-		fmt.Fprintf(&b, "\n  put        %s", lat.Put)
-		fmt.Fprintf(&b, "\n  scan-next  %s", lat.ScanNext)
-		fmt.Fprintf(&b, "\n  flush      %s", lat.Flush)
-		fmt.Fprintf(&b, "\n  compaction %s", lat.Compaction)
-		fmt.Fprintf(&b, "\n%s", s.TreeStats())
+			p.DiskUsageBytes(), p.Health().Degraded)
 	}
 	return b.String()
 }

@@ -110,56 +110,18 @@ func (s *Server) writeMetrics(w http.ResponseWriter) {
 	net := s.m.Snapshot() // serving-layer counters
 	var p promWriter
 
-	// Write path.
-	p.counter("puts_total", "User put operations.", eng.Puts)
-	p.counter("deletes_total", "User delete operations.", eng.Deletes)
-	p.counter("bytes_ingested_total", "User key+value bytes accepted.", eng.BytesIngested)
-	p.counter("wal_bytes_total", "Bytes appended to the write-ahead log.", eng.WALBytes)
-	p.counter("commit_groups_total", "Commit groups written (one WAL write each).", eng.CommitGroups)
-	p.counter("commit_batches_total", "Batches committed across all groups.", eng.CommitBatches)
-	p.counter("wal_syncs_total", "WAL syncs issued.", eng.WALSyncs)
-	p.counter("wal_syncs_saved_total", "Syncs avoided by group coalescing.", eng.WALSyncsSaved)
-
-	// Read path.
-	p.counter("gets_total", "User point lookups.", eng.Gets)
-	p.counter("get_hits_total", "Lookups that found a live value.", eng.GetHits)
-	p.counter("scans_total", "User range scans.", eng.Scans)
-	p.counter("runs_probed_total", "Sorted runs consulted by point lookups.", eng.RunsProbed)
-	p.counter("filter_probes_total", "Bloom filter probes.", eng.FilterProbes)
-	p.counter("filter_negatives_total", "Filter probes that skipped a run.", eng.FilterNegatives)
-	p.counter("filter_false_positives_total", "Filter passes that found nothing.", eng.FilterFalsePos)
-	p.counter("block_reads_total", "Data-block fetches by sstable readers.", eng.BlockReads)
-	p.counter("block_reads_cached_total", "Block fetches served from the cache.", eng.BlockReadsCached)
-	p.counter("cache_hits_total", "Block cache hits.", eng.CacheHits)
-	p.counter("cache_misses_total", "Block cache misses.", eng.CacheMisses)
-
-	// Structure maintenance and stalls.
-	p.counter("flushes_total", "Memtable flushes.", eng.Flushes)
-	p.counter("flush_bytes_total", "Bytes written by flushes.", eng.FlushBytes)
-	p.counter("compactions_total", "Compaction jobs completed.", eng.Compactions)
-	p.counter("compaction_bytes_read_total", "Bytes read by compactions.", eng.CompactionBytesRead)
-	p.counter("compaction_bytes_written_total", "Bytes written by compactions.", eng.CompactionBytesWritten)
-	p.counter("tombstones_dropped_total", "Tombstones purged by compaction.", eng.TombstonesDropped)
-	p.counter("write_stalls_total", "Write stall events.", eng.WriteStalls)
-	p.counter("stall_ns_total", "Total time writers spent stalled, ns.", eng.StallNs)
-
-	// Robustness.
-	p.counter("bg_retries_total", "Failed background job attempts.", eng.BgRetries)
-	p.counter("scrubbed_tables_total", "Sstables checked by scrubs.", eng.ScrubbedTables)
-	p.counter("scrub_corruptions_total", "Corrupt files found by scrubs.", eng.ScrubCorruptions)
-	p.gauge("degraded", "1 once the engine is read-only degraded.", float64(eng.Degraded))
-
-	// Serving layer.
-	p.counter("conns_opened_total", "Connections accepted.", net.ConnsOpened)
-	p.counter("conns_closed_total", "Connections fully torn down.", net.ConnsClosed)
-	p.counter("conns_rejected_total", "Connections refused at the limit.", net.ConnsRejected)
-	p.counter("net_requests_total", "Request frames received.", net.NetRequests)
-	p.counter("net_request_errors_total", "Requests answered with an error status.", net.NetRequestErrors)
-	p.counter("net_throttled_total", "Requests answered with StatusThrottled (quota or backpressure).", net.NetThrottled)
-	p.counter("net_bytes_read_total", "Request frame bytes received.", net.NetBytesRead)
-	p.counter("net_bytes_written_total", "Response frame bytes sent.", net.NetBytesWritten)
+	// Every declared counter and gauge in one pass. The engine leaves
+	// the serving-layer fields at 0 and the server the engine's, so the
+	// sum is each side's own value; repl_gaps_total, kept by both, adds
+	// the leader's gap frames to the follower's observed gaps.
+	eng.Add(net).Each(func(f metrics.Field, v int64) {
+		if f.Gauge {
+			p.gauge(f.Name, f.Help, float64(v))
+		} else {
+			p.counter(f.Name, f.Help, v)
+		}
+	})
 	p.gauge("conns_open", "Connections currently being served.", float64(net.ConnsOpened-net.ConnsClosed))
-	p.counter("stall_aborts_total", "Writes aborted by the stall timeout (backpressure).", eng.StallAborts)
 
 	// Multi-tenancy: one row per tenant seen, labeled by namespace (the
 	// default tenant — separator-free keys — is labeled "").
@@ -189,17 +151,6 @@ func (s *Server) writeMetrics(w http.ResponseWriter) {
 			p.sample("tenant_throttling", fmt.Sprintf("tenant=%q", t.Tenant), v)
 		}
 	}
-
-	// Replication: leader counters live on the server, follower counters
-	// arrive merged into the engine snapshot by the replica wrapper.
-	p.counter("repl_subscribes_total", "Follower stream subscriptions accepted.", net.ReplSubscribes)
-	p.counter("repl_frames_shipped_total", "WAL group frames streamed to followers.", net.ReplFramesShipped)
-	p.counter("repl_gaps_total", "Gap frames sent (leader) or stream gaps observed (follower).",
-		net.ReplGapsSignaled+eng.ReplGapsSignaled)
-	p.counter("repl_acks_total", "Follower watermark acks recorded.", net.ReplAcks)
-	p.counter("repl_repair_pages_total", "Merkle repair pages served.", net.ReplRepairPages)
-	p.counter("repl_batches_applied_total", "Shipped WAL batches applied by this follower.", eng.ReplBatchesApplied)
-	p.counter("repl_repair_ops_total", "Ops ingested via anti-entropy repair.", eng.ReplRepairOps)
 
 	// Derived ratios (the paper's headline figures).
 	p.gauge("write_amplification", "Storage bytes written per user byte ingested.", eng.WriteAmplification())

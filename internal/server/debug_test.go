@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -9,8 +10,12 @@ import (
 
 	"lsmlab/internal/core"
 	"lsmlab/internal/events"
+	"lsmlab/internal/metrics"
+	"lsmlab/internal/partition"
 	"lsmlab/internal/server"
 	"lsmlab/internal/trace"
+	"lsmlab/internal/vfs"
+	"lsmlab/internal/vfs/faultfs"
 	"lsmlab/internal/wire"
 )
 
@@ -96,6 +101,61 @@ func TestDebugMetricsParsesAsPrometheusText(t *testing.T) {
 		if _, err := strconv.ParseFloat(line[sp+1:], 64); err != nil {
 			t.Fatalf("bad value in %q: %v", line, err)
 		}
+	}
+	// Every declared counter is exposed exactly once, with its kind.
+	metrics.Snapshot{}.Each(func(f metrics.Field, _ int64) {
+		kind := "counter"
+		if f.Gauge {
+			kind = "gauge"
+		}
+		if n := strings.Count(body, "# TYPE lsmlab_"+f.Name+" "); n != 1 {
+			t.Errorf("%s has %d TYPE lines, want 1", f.Name, n)
+		}
+		if !strings.Contains(body, "# TYPE lsmlab_"+f.Name+" "+kind+"\n") {
+			t.Errorf("%s is not typed %s", f.Name, kind)
+		}
+	})
+}
+
+// TestDebugShardedDegradedAgreesWithHealthz serves a 3-shard store with
+// one shard degraded: /metrics must report the degraded gauge as 1 while
+// /healthz answers 503, so a scraper and a probe see the same state.
+func TestDebugShardedDegradedAgreesWithHealthz(t *testing.T) {
+	ffs := faultfs.New(vfs.NewMem(), 1)
+	opts := core.DefaultOptions(ffs, "pdb")
+	opts.MaxBackgroundRetries = -1 // degrade on the first failure
+	store, err := partition.Open(opts, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	shard := store.Partition(1)
+	for i := 0; i < 20; i++ {
+		if err := shard.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ffs.AddRule(faultfs.Rule{
+		Classes:   faultfs.ClassSST,
+		Ops:       faultfs.OpWrite | faultfs.OpCreate,
+		Countdown: 1,
+		Sticky:    true,
+	})
+	if err := shard.Flush(); err == nil {
+		t.Fatal("flush against a dead device must error")
+	}
+	waitFor(t, "shard 1 degraded", func() bool { return shard.Health().Degraded })
+
+	h := server.New(store, server.Options{}).DebugHandler(nil, nil)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if !strings.Contains(rec.Body.String(), "\nlsmlab_degraded 1\n") {
+		t.Errorf("/metrics does not report the degraded shard:\n%s", rec.Body.String())
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	if rec.Code != 503 {
+		t.Errorf("/healthz status %d with a degraded shard, want 503", rec.Code)
 	}
 }
 

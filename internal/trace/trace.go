@@ -70,7 +70,7 @@ type Span struct {
 	Runs             int32 // sorted runs probed
 	FilterProbes     int32
 	FilterNegatives  int32
-	FilterFalsePos   int32
+	FilterFalsePos   int32 // filtered runs without the key, negatives included
 	BlockReads       int32 // data blocks fetched (including cache hits)
 	BlockReadsCached int32 // subset served from the block cache
 	VlogReads        int32 // WiscKey value-log hops
@@ -152,7 +152,9 @@ func (sp *Span) AddRun() {
 	}
 }
 
-// AddFalsePositive counts one filter pass that found nothing.
+// AddFalsePositive counts one filtered run that did not hold the key,
+// whether the filter rejected it or passed it in vain (the engine's
+// FilterFalsePos; less FilterNegatives, the false positives).
 func (sp *Span) AddFalsePositive() {
 	if sp != nil {
 		sp.FilterFalsePos++
