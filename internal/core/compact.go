@@ -335,8 +335,10 @@ func survivingRangeDels(rangeDels []kv.RangeTombstone, bottom bool, snapshots []
 // CompactionBegin/CompactionEnd events carrying the job's shape
 // (levels, input/output files and bytes, trigger reason) and timed into
 // the compaction latency histogram. Every outcome emits exactly one
-// matching end event.
-func (db *DB) runCompaction(job *compaction.Job) error {
+// matching end event. rs is the read state pinned when the job was
+// picked, which lists every input; runCompaction releases it.
+func (db *DB) runCompaction(job *compaction.Job, rs *readState) error {
+	defer rs.unref()
 	var inFiles int
 	for _, files := range job.Inputs {
 		inFiles += len(files)
@@ -348,7 +350,7 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 		Level: job.FromLevel, ToLevel: job.ToLevel,
 		InputFiles: inFiles, InputBytes: int64(job.InputBytes()),
 		Reason: string(job.Reason)})
-	metas, err := db.doCompaction(job)
+	metas, err := db.doCompaction(job, rs)
 	dur := db.opts.NowNs() - start
 	db.m.CompactionNs.RecordNs(dur)
 	sp.AddBytes(int64(totalBytes(metas)))
@@ -367,28 +369,21 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 // outputs (throttled), install the new version, and delete obsolete
 // files (tutorial §2.1.2 Compaction). It returns the installed file
 // metadata for event reporting.
-func (db *DB) doCompaction(job *compaction.Job) ([]*manifest.FileMeta, error) {
+func (db *DB) doCompaction(job *compaction.Job, rs *readState) ([]*manifest.FileMeta, error) {
 	var (
 		iters     []kv.Iterator
-		releases  []func()
 		rangeDels []kv.RangeTombstone
 		overall   kv.KeyRange
 		inEntries int64
 		inBytes   uint64
 	)
-	defer func() {
-		for _, rel := range releases {
-			rel()
-		}
-	}()
 	for lvl, files := range job.Inputs {
 		var lvlBytes int64
 		for _, f := range files {
-			r, release, err := db.tcache.acquire(f.Num)
+			r, err := db.tcache.get(f.Num)
 			if err != nil {
 				return nil, err
 			}
-			releases = append(releases, release)
 			iters = append(iters, r.NewIterator())
 			rangeDels = append(rangeDels, r.RangeTombstones()...)
 			overall.Extend(f.Smallest)
@@ -459,11 +454,18 @@ func (db *DB) doCompaction(job *compaction.Job) ([]*manifest.FileMeta, error) {
 			removed[lvl] = append(removed[lvl], f.Num)
 		}
 	}
+	prefetch := db.opts.PrefetchAfterCompaction && db.bcache != nil
+	var warm *readState
 	db.mu.Lock()
 	db.version = db.version.ApplyCompaction(removed, job.ToLevel, metas, job.TargetTiered)
+	db.publishReadStateLocked()
 	err = db.commitLocked()
+	if err == nil && prefetch {
+		warm, _ = db.loadReadState() // lists the outputs; nil once closed
+	}
 	db.mu.Unlock()
 	if err != nil {
+		// The manifest still lists the inputs: none of them may die.
 		return metas, err
 	}
 
@@ -482,35 +484,35 @@ func (db *DB) doCompaction(job *compaction.Job) ([]*manifest.FileMeta, error) {
 	// the cache — the "hot pages" Leaper's model predicts (§2.1.3,
 	// [128]).
 	var hotRanges []kv.KeyRange
-	if db.opts.PrefetchAfterCompaction && db.bcache != nil {
+	if prefetch {
 		hotRanges = db.collectHotRanges(job)
 	}
 
-	// Drop obsolete inputs from caches and disk.
+	// The inputs die, leaving caches and disk, once the last read state
+	// listing them (at the latest, rs) is released.
 	for _, nums := range removed {
-		for _, num := range nums {
-			if db.bcache != nil {
-				db.bcache.EvictFile(num)
-			}
-			db.tcache.evict(num)
-		}
+		db.tables.drop(nums, false)
 	}
 
 	// Re-warm: prefetch the output blocks covering the previously hot
 	// key ranges, restoring the cache before readers miss.
-	if len(hotRanges) > 0 {
-		db.prefetchOutputs(metas, hotRanges)
+	if warm != nil {
+		if len(hotRanges) > 0 {
+			db.prefetchOutputs(metas, hotRanges)
+		}
+		warm.unref()
 	}
 	return metas, nil
 }
 
 // collectHotRanges returns the user-key spans of the job's input blocks
-// that are currently cached.
+// that are currently cached. The caller holds a read state listing the
+// inputs.
 func (db *DB) collectHotRanges(job *compaction.Job) []kv.KeyRange {
 	var hot []kv.KeyRange
 	for _, files := range job.Inputs {
 		for _, f := range files {
-			r, release, err := db.tcache.acquire(f.Num)
+			r, err := db.tcache.get(f.Num)
 			if err != nil {
 				continue
 			}
@@ -525,7 +527,6 @@ func (db *DB) collectHotRanges(job *compaction.Job) []kv.KeyRange {
 				}
 				prev = last
 			})
-			release()
 		}
 	}
 	return hot
@@ -535,7 +536,8 @@ func (db *DB) collectHotRanges(job *compaction.Job) []kv.KeyRange {
 // overlap the previously hot key ranges, up to half the cache capacity
 // — Leaper's prediction realized with observed hotness: only data that
 // was hot before the compaction is loaded, so the prefetch cannot
-// pollute the cache with cold blocks.
+// pollute the cache with cold blocks. The caller holds a read state
+// listing the outputs.
 func (db *DB) prefetchOutputs(metas []*manifest.FileMeta, hotRanges []kv.KeyRange) {
 	budget := int64(db.opts.CacheBytes / 2)
 	if budget <= 0 {
@@ -556,7 +558,7 @@ func (db *DB) prefetchOutputs(metas []*manifest.FileMeta, hotRanges []kv.KeyRang
 		if !touches {
 			continue
 		}
-		r, release, err := db.tcache.acquire(m.Num)
+		r, err := db.tcache.get(m.Num)
 		if err != nil {
 			continue
 		}
@@ -569,6 +571,5 @@ func (db *DB) prefetchOutputs(metas []*manifest.FileMeta, hotRanges []kv.KeyRang
 			}
 			budget -= r.WarmRange(hr.Smallest, hr.Largest, budget)
 		}
-		release()
 	}
 }

@@ -115,6 +115,12 @@ type DB struct {
 	lastSeq    atomic.Uint64
 	visibleSeq atomic.Uint64
 
+	// readState is the pinned-by-readers pairing of memtables and
+	// version (readstate.go); nil once closed. tables decides when the
+	// table files those states list may die.
+	readState atomic.Pointer[readState]
+	tables    tableRefs
+
 	bg     sync.WaitGroup
 	picker *compaction.Picker
 	tcache *tableCache
@@ -236,6 +242,7 @@ func Open(opts Options) (*DB, error) {
 	}
 	db.cond = sync.NewCond(&db.mu)
 	db.commit.init()
+	db.tables = tableRefs{db: db, count: make(map[uint64]int), dropped: make(map[uint64]bool)}
 	db.stSink = statsSink{&db.m}
 	if !opts.DisableProfiler {
 		db.prof = newProfiler(&db.m, opts.NumLevels, opts.ProfileWindowOps)
@@ -399,7 +406,11 @@ func (db *DB) recoverWALs() error {
 func (db *DB) newMemtable() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.newMemtableLocked()
+	if err := db.newMemtableLocked(); err != nil {
+		return err
+	}
+	db.publishReadStateLocked()
+	return nil
 }
 
 func (db *DB) newMemtableLocked() error {
@@ -558,12 +569,13 @@ func (db *DB) worker(flushOnly bool) {
 					db.busyLevel[lvl] = true
 				}
 				db.busyLevel[job.ToLevel] = true
+				rs, _ := db.loadReadState() // open while the loop runs
 				backoff := retryBackoff(db.compactFailures)
 				db.mu.Unlock()
 				if backoff > 0 {
 					time.Sleep(backoff)
 				}
-				err := db.runCompaction(job)
+				err := db.runCompaction(job, rs)
 				db.mu.Lock()
 				for lvl := range job.Inputs {
 					delete(db.busyLevel, lvl)
@@ -693,21 +705,24 @@ func (db *DB) Compact() error {
 		return err
 	}
 	db.mu.Lock()
-	job := db.picker.ManualJob(db.version)
-	if job == nil {
-		db.mu.Unlock()
-		return nil
-	}
 	for len(db.building) > 0 || len(db.busyLevel) > 0 {
 		db.cond.Wait()
 	}
+	// Pick only once no other job runs, so the inputs are those of the
+	// state pinned below.
+	job := db.picker.ManualJob(db.version)
+	if job == nil || db.closed {
+		db.mu.Unlock()
+		return nil
+	}
+	rs, _ := db.loadReadState() // open, checked above
 	for lvl := range job.Inputs {
 		db.busyLevel[lvl] = true
 	}
 	db.busyLevel[job.ToLevel] = true
 	db.mu.Unlock()
 
-	err := db.runCompaction(job)
+	err := db.runCompaction(job, rs)
 
 	db.mu.Lock()
 	for lvl := range job.Inputs {
@@ -735,8 +750,12 @@ func (db *DB) Close() error {
 
 	db.mu.Lock()
 	db.closed = true
+	last := db.readState.Swap(nil)
 	db.cond.Broadcast()
 	db.mu.Unlock()
+	if last != nil {
+		last.unref()
+	}
 	db.bg.Wait()
 
 	db.mu.Lock()

@@ -401,7 +401,7 @@ func TestMonkeyFilterMode(t *testing.T) {
 }
 
 func TestConcurrentReadersAndWriters(t *testing.T) {
-	db, _ := testDB(t, func(o *Options) { o.Workers = 2 })
+	db, fs := testDB(t, func(o *Options) { o.Workers = 2 })
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
 	errCh := make(chan error, 8)
@@ -464,6 +464,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			}
 		}
 	}
+	requireNoTableLeak(t, db, fs)
 }
 
 func TestDisableWAL(t *testing.T) {

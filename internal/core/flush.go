@@ -309,6 +309,8 @@ func (db *DB) doFlush(mw *memWrapper) ([]*manifest.FileMeta, error) {
 		}
 		db.cond.Wait()
 	}
+	// Readers see the new run and the retired buffer in one new state.
+	defer db.publishReadStateLocked()
 	if len(metas) > 0 {
 		db.version = db.version.PushRun(0, &manifest.Run{Files: metas})
 		if err := db.commitLocked(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"lsmlab/internal/vfs"
+	"sync"
 	"testing"
 )
 
@@ -283,4 +284,66 @@ func mergeDBOpts(t *testing.T) Options {
 	opts := DefaultOptions(vfs.NewMem(), "db")
 	opts.MergeOperator = counterMerge{}
 	return opts
+}
+
+// TestMergeGetUnderCompaction reads merge counters, whose gets take the
+// operand-folding slow path, while flushes and full compactions replace
+// the tables under them. Every get must see the tables of the state it
+// pinned: a missing-file error here means a compaction deleted a table
+// an in-flight read still listed.
+func TestMergeGetUnderCompaction(t *testing.T) {
+	db := mergeDB(t, func(o *Options) { o.Workers = 2 })
+	const keys, rounds = 64, 200
+	key := func(i int) []byte { return []byte(fmt.Sprintf("ctr%02d", i)) }
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	var mu sync.Mutex
+	var failures int
+	var firstErr error
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for n := r; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := db.Get(key(n % keys)); err != nil && !errors.Is(err, ErrNotFound) {
+					mu.Lock()
+					if failures++; firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+				}
+			}
+		}(r)
+	}
+	pad := make([]byte, 200)
+	for round := 1; round <= rounds; round++ {
+		for i := 0; i < keys; i++ {
+			if err := db.Merge(key(i), delta(1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Put([]byte(fmt.Sprintf("pad%03d-%02d", round, i)), pad); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if round%20 == 0 {
+			if err := db.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	readers.Wait()
+	if failures > 0 {
+		t.Fatalf("%d merge gets failed during compaction; first: %v", failures, firstErr)
+	}
+	for i := 0; i < keys; i++ {
+		if got := counterValue(t, db, string(key(i))); got != rounds {
+			t.Fatalf("%s = %d, want %d", key(i), got, rounds)
+		}
+	}
 }

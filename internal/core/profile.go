@@ -459,10 +459,13 @@ type WorkloadProfile struct {
 	ReadAmp  float64 `json:"read_amp"`  // runs probed per point lookup
 	WriteAmp float64 `json:"write_amp"` // (flush+compaction bytes) / ingested bytes
 	SpaceAmp float64 `json:"space_amp"` // total tree bytes / deepest-level bytes (gauge)
-	// SpaceBytesTotal/Deepest are SpaceAmp's terms, kept so sharded
-	// aggregation can recompute the ratio exactly.
-	SpaceBytesTotal   int64 `json:"space_bytes_total"`
-	SpaceBytesDeepest int64 `json:"space_bytes_deepest"`
+	// RunsProbed, FlushCompactionBytes and SpaceBytesTotal/Deepest are
+	// the exact terms of ReadAmp, WriteAmp and SpaceAmp, kept so sharded
+	// aggregation recomputes each ratio as a single tree does.
+	RunsProbed           int64 `json:"runs_probed"`
+	FlushCompactionBytes int64 `json:"flush_compaction_bytes"`
+	SpaceBytesTotal      int64 `json:"space_bytes_total"`
+	SpaceBytesDeepest    int64 `json:"space_bytes_deepest"`
 
 	Levels []LevelProfile `json:"levels,omitempty"`
 }
@@ -507,6 +510,8 @@ func (db *DB) WorkloadProfile() WorkloadProfile {
 
 	wp.ReadAmp = w.ReadAmplification()
 	wp.WriteAmp = w.WriteAmplification()
+	wp.RunsProbed = w.RunsProbed
+	wp.FlushCompactionBytes = w.FlushBytes + w.CompactionBytesWritten
 
 	ts := db.TreeStats()
 	var total, deepest int64
@@ -600,7 +605,6 @@ func MergeProfiles(ps []WorkloadProfile) WorkloadProfile {
 	var out WorkloadProfile
 	topByKey := map[string]sketch.HotKey{}
 	tenByName := map[string]*TenantWorkload{}
-	var runsProbed, flushPlusCompaction int64
 	var topMassDen int64
 	for _, p := range ps {
 		if !p.Enabled {
@@ -618,6 +622,8 @@ func MergeProfiles(ps []WorkloadProfile) WorkloadProfile {
 		out.ScanEntries += p.ScanEntries
 		out.IngestedBytes += p.IngestedBytes
 		out.DistinctKeys += p.DistinctKeys
+		out.RunsProbed += p.RunsProbed
+		out.FlushCompactionBytes += p.FlushCompactionBytes
 		out.SpaceBytesTotal += p.SpaceBytesTotal
 		out.SpaceBytesDeepest += p.SpaceBytesDeepest
 		topMassDen += p.WindowOps
@@ -658,8 +664,6 @@ func MergeProfiles(ps []WorkloadProfile) WorkloadProfile {
 				}
 				o.WriteByReason[r] += b
 			}
-			runsProbed += lp.RunsProbed
-			flushPlusCompaction += lp.BytesWritten
 		}
 	}
 	if !out.Enabled {
@@ -705,10 +709,10 @@ func MergeProfiles(ps []WorkloadProfile) WorkloadProfile {
 		}
 	}
 	if out.Gets > 0 {
-		out.ReadAmp = float64(runsProbed) / float64(out.Gets)
+		out.ReadAmp = float64(out.RunsProbed) / float64(out.Gets)
 	}
 	if out.IngestedBytes > 0 {
-		out.WriteAmp = float64(flushPlusCompaction) / float64(out.IngestedBytes)
+		out.WriteAmp = float64(out.FlushCompactionBytes) / float64(out.IngestedBytes)
 	}
 	if out.SpaceBytesDeepest > 0 {
 		out.SpaceAmp = float64(out.SpaceBytesTotal) / float64(out.SpaceBytesDeepest)

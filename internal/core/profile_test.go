@@ -193,6 +193,7 @@ func TestMergeProfiles(t *testing.T) {
 			Level: 0, RunsProbed: 160, BytesWritten: 2000,
 			WriteByReason: map[string]int64{"flush": 2000},
 		}},
+		RunsProbed: 160, FlushCompactionBytes: 2000,
 		SpaceBytesTotal: 3000, SpaceBytesDeepest: 2000,
 	}
 	b := WorkloadProfile{
@@ -205,6 +206,7 @@ func TestMergeProfiles(t *testing.T) {
 			Level: 0, RunsProbed: 40, BytesWritten: 6000,
 			WriteByReason: map[string]int64{"flush": 4000, "run-count": 2000},
 		}},
+		RunsProbed: 40, FlushCompactionBytes: 6000,
 		SpaceBytesTotal: 5000, SpaceBytesDeepest: 4000,
 	}
 	m := MergeProfiles([]WorkloadProfile{a, b, {}}) // disabled shard is skipped

@@ -2,25 +2,21 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"sync"
 
 	"lsmlab/internal/admission"
 	"lsmlab/internal/bloom"
 	"lsmlab/internal/kv"
-	"lsmlab/internal/manifest"
 	"lsmlab/internal/sstable"
 	"lsmlab/internal/trace"
-	"lsmlab/internal/vfs"
 	"lsmlab/internal/wisckey"
 )
 
 // readScratch carries the reusable buffers of one point lookup: the
-// memtable slice of the view, the search key shared by every probe,
-// and the sstable cursors. Pooled so the steady-state get path does
-// zero heap allocations (proved by BenchmarkGetHot).
+// search key shared by every probe and the sstable cursors. Pooled so
+// the steady-state get path does zero heap allocations (proved by
+// BenchmarkGetHot).
 type readScratch struct {
-	mems   []*memWrapper
 	search []byte
 	sst    sstable.GetScratch
 	// sink is the profiler's level-tagging ReadStats shim; living in
@@ -32,41 +28,16 @@ var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
 
 type wiscPointer = wisckey.Pointer
 
-// readView is a consistent snapshot of the read sources: the mutable
-// buffer, the immutable queue (newest first), and the tree version.
-type readView struct {
-	mems    []*memWrapper // newest first
-	version *manifest.Version
-	seq     kv.SeqNum
-}
-
-// acquireView captures the sources under the DB lock.
-func (db *DB) acquireView(snap kv.SeqNum) readView {
-	return db.acquireViewInto(snap, nil)
-}
-
-// acquireViewInto is acquireView reusing a caller-owned memtable slice
-// (the pooled scratch of the get path), so a steady-state lookup does
-// not allocate the view.
-func (db *DB) acquireViewInto(snap kv.SeqNum, mems []*memWrapper) readView {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if cap(mems) < len(db.imm)+1 {
-		mems = make([]*memWrapper, 0, len(db.imm)+4)
-	} else {
-		mems = mems[:0]
-	}
-	mems = append(mems, db.mem)
-	for i := len(db.imm) - 1; i >= 0; i-- {
-		mems = append(mems, db.imm[i])
-	}
-	// Read views are bounded by the published watermark, not the
-	// allocation cursor: a commit group still applying to the memtable
-	// must stay invisible so no sequence-number hole can be observed.
+// readSeq is the sequence a read at snap observes. A latest read (snap
+// 0) is bounded by the published watermark, not the allocation cursor:
+// a commit group still applying to the memtable must stay invisible so
+// no sequence-number hole can be observed. Loaded after the read state
+// is pinned, it sees every write published before the pin.
+func (db *DB) readSeq(snap kv.SeqNum) kv.SeqNum {
 	if snap == 0 {
-		snap = kv.SeqNum(db.visibleSeq.Load())
+		return kv.SeqNum(db.visibleSeq.Load())
 	}
-	return readView{mems: mems, version: db.version, seq: snap}
+	return snap
 }
 
 // Get returns the current value of key, or ErrNotFound.
@@ -122,8 +93,15 @@ func (db *DB) getInner(key []byte, snap kv.SeqNum, traceID uint64) ([]byte, erro
 	if sp != nil {
 		t0 = db.opts.NowNs()
 	}
+	rs, err := db.loadReadState()
+	if err != nil {
+		sp.SetErr(err)
+		return nil, err
+	}
+	defer rs.unref()
+	seq := db.readSeq(snap)
 	sc := readScratchPool.Get().(*readScratch)
-	e, err := db.getEntryWith(key, hash, profiled, snap, sp, st, sc)
+	e, err := db.searchState(rs, seq, key, hash, profiled, sp, st, sc)
 	if sp != nil {
 		sp.StageSince("search", t0, db.opts.NowNs())
 	}
@@ -150,8 +128,7 @@ func (db *DB) getInner(key []byte, snap kv.SeqNum, traceID uint64) ([]byte, erro
 		if sp != nil {
 			t0 = db.opts.NowNs()
 		}
-		view := db.acquireView(snap)
-		v, err := db.resolveMergeSlow(view, key, view.seq)
+		v, err := db.resolveMergeSlow(rs, key, seq)
 		if sp != nil {
 			sp.StageSince("merge", t0, db.opts.NowNs())
 		}
@@ -190,10 +167,14 @@ func (db *DB) getInner(key []byte, snap kv.SeqNum, traceID uint64) ([]byte, erro
 
 // getEntry returns the newest visible raw entry (which may be a
 // tombstone or value pointer), with range tombstones applied.
-// It retries when a racing compaction deletes a file mid-read.
 func (db *DB) getEntry(key []byte, snap kv.SeqNum) (kv.Entry, error) {
+	rs, err := db.loadReadState()
+	if err != nil {
+		return kv.Entry{}, err
+	}
+	defer rs.unref()
 	sc := readScratchPool.Get().(*readScratch)
-	e, err := db.getEntryWith(key, bloom.Hash64(key), false, snap, nil, nil, sc)
+	e, err := db.searchState(rs, db.readSeq(snap), key, bloom.Hash64(key), false, nil, nil, sc)
 	if err == nil {
 		e = e.Clone() // detach from the scratch for non-hot-path callers
 	}
@@ -201,52 +182,19 @@ func (db *DB) getEntry(key []byte, snap kv.SeqNum) (kv.Entry, error) {
 	return e, err
 }
 
-// getEntryWith is getEntry with the key's precomputed hash, the
-// profiler's sampling decision, an optional span, per-operation read
-// stats sink (both nil on untraced lookups), and the caller's pooled
-// scratch. The returned entry's key aliases sc.
-func (db *DB) getEntryWith(key []byte, hash uint64, profiled bool, snap kv.SeqNum, sp *trace.Span, st sstable.ReadStats, sc *readScratch) (kv.Entry, error) {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return kv.Entry{}, ErrClosed
-	}
-	db.mu.Unlock()
-	// Each attempt takes a fresh view, so a lookup only fails if a racing
-	// compaction deletes a just-referenced file on every attempt — the
-	// generous bound covers schedulers that starve the reader (GOMAXPROCS
-	// of 1 under the race detector).
-	var lastErr error
-	for attempt := 0; attempt < 20; attempt++ {
-		view := db.acquireViewInto(snap, sc.mems)
-		sc.mems = view.mems // retain the slice's capacity in the scratch
-		e, ok, err := db.searchView(view, key, hash, profiled, sp, st, sc)
-		if err != nil {
-			if isMissingFile(err) {
-				lastErr = err
-				continue // version changed under us; retry with a fresh view
-			}
-			return kv.Entry{}, err
-		}
-		if !ok {
-			return kv.Entry{}, ErrNotFound
-		}
-		return e, nil
-	}
-	return kv.Entry{}, lastErr
-}
-
-func isMissingFile(err error) bool { return errors.Is(err, vfs.ErrNotExist) }
-
-// searchView walks the sources newest to oldest, maintaining the
-// highest covering range-tombstone sequence seen so far. The first
-// point entry found is the newest visible version; it is live only if
-// no newer range tombstone covers it (tutorial §2.1.2 Get). The
-// returned entry's key aliases sc; the probe chain allocates nothing.
-func (db *DB) searchView(view readView, key []byte, hash uint64, profiled bool, sp *trace.Span, st sstable.ReadStats, sc *readScratch) (kv.Entry, bool, error) {
+// searchState looks key up at seq in the pinned state rs, with the
+// key's precomputed hash, the profiler's sampling decision, an optional
+// span and per-operation read stats sink (both nil on untraced
+// lookups), and the caller's pooled scratch. It walks the sources
+// newest to oldest, maintaining the highest covering range-tombstone
+// sequence seen so far. The first point entry found is the newest
+// visible version; it is live only if no newer range tombstone covers
+// it (tutorial §2.1.2 Get), and ErrNotFound otherwise. The returned
+// entry's key aliases sc; the probe chain allocates nothing.
+func (db *DB) searchState(rs *readState, seq kv.SeqNum, key []byte, hash uint64, profiled bool, sp *trace.Span, st sstable.ReadStats, sc *readScratch) (kv.Entry, error) {
 	var maxRT kv.SeqNum
 	// One search key serves every memtable and run probe.
-	sc.search = kv.AppendSearchKey(sc.search[:0], key, view.seq)
+	sc.search = kv.AppendSearchKey(sc.search[:0], key, seq)
 	// On a sampled lookup, probes report through the scratch's
 	// level-tagging sink, which forwards to the usual metrics (or
 	// traced) sink and attributes each block fetch to its level with
@@ -263,23 +211,23 @@ func (db *DB) searchView(view readView, key []byte, hash uint64, profiled bool, 
 	}
 
 	// Memtables.
-	for _, mw := range view.mems {
+	for _, mw := range rs.mems {
 		for _, rt := range mw.rangeTombstones() {
-			if rt.Seq <= view.seq && rt.Seq > maxRT &&
+			if rt.Seq <= seq && rt.Seq > maxRT &&
 				bytes.Compare(rt.Start, key) <= 0 && bytes.Compare(key, rt.End) < 0 {
 				maxRT = rt.Seq
 			}
 		}
-		if e, ok := mw.mt.GetSeek(sc.search, key, view.seq); ok {
+		if e, ok := mw.mt.GetSeek(sc.search, key, seq); ok {
 			if e.Seq() < maxRT {
-				return kv.Entry{}, false, nil // shadowed by a range delete
+				return kv.Entry{}, ErrNotFound // shadowed by a range delete
 			}
-			return e, true, nil
+			return e, nil
 		}
 	}
 
 	// Disk levels: L0 runs newest first, then deeper levels.
-	for lvl, level := range view.version.Levels {
+	for lvl, level := range rs.version.Levels {
 		if profiled {
 			sc.sink.level = lvl
 		}
@@ -288,12 +236,12 @@ func (db *DB) searchView(view readView, key []byte, hash uint64, profiled bool, 
 			if f == nil {
 				continue
 			}
-			r, err := db.tcache.acquireRef(f.Num)
+			r, err := db.tcache.get(f.Num)
 			if err != nil {
-				return kv.Entry{}, false, err
+				return kv.Entry{}, err
 			}
 			for _, rt := range r.RangeTombstones() {
-				if rt.Seq <= view.seq && rt.Seq > maxRT && rt.Covers(key, 0) {
+				if rt.Seq <= seq && rt.Seq > maxRT && rt.Covers(key, 0) {
 					maxRT = rt.Seq
 				}
 			}
@@ -304,17 +252,13 @@ func (db *DB) searchView(view readView, key []byte, hash uint64, profiled bool, 
 			sp.AddRun()
 			e, ok, err := r.GetScratched(key, sc.search, hash, st, &sc.sst)
 			if err != nil {
-				db.tcache.release(f.Num)
-				return kv.Entry{}, false, err
+				return kv.Entry{}, err
 			}
 			if ok {
-				// Safe to release before returning: e aliases the scratch
-				// and the cached block, not the reader's file.
-				db.tcache.release(f.Num)
 				if e.Seq() < maxRT {
-					return kv.Entry{}, false, nil // shadowed by a range delete
+					return kv.Entry{}, ErrNotFound // shadowed by a range delete
 				}
-				return e, true, nil
+				return e, nil
 			}
 			if len(r.RangeTombstones()) == 0 && r.FilterSizeBytes() > 0 {
 				// A filtered run that did not hold the key, whether the
@@ -324,11 +268,10 @@ func (db *DB) searchView(view readView, key []byte, hash uint64, profiled bool, 
 				db.m.FilterFalsePos.Add(1)
 				sp.AddFalsePositive()
 			}
-			db.tcache.release(f.Num)
 		}
 	}
 
-	return kv.Entry{}, false, nil
+	return kv.Entry{}, ErrNotFound
 }
 
 // pointerIsLive reports whether p is still the live value location of

@@ -120,4 +120,22 @@ func BenchmarkGetHot(b *testing.B) {
 			}
 		}
 	})
+	// Concurrent readers alternating the two hit shapes: what the read
+	// path's shared state (read-state pin, table cache) costs when
+	// several goroutines get at once.
+	b.Run("parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			for i := 0; pb.Next(); i++ {
+				key := memKey
+				if i&1 == 1 {
+					key = sstKey
+				}
+				if _, err := db.Get(key); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
 }

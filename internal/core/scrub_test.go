@@ -156,6 +156,13 @@ func TestScrubDetectsAndQuarantinesBitFlip(t *testing.T) {
 	if err := db.Put([]byte("post-scrub"), []byte("v")); err != nil {
 		t.Fatalf("put after quarantine: %v", err)
 	}
+
+	// Once its reads are done, the quarantined table's reader is closed
+	// but the evidence stays, outside the live tables.
+	requireNoTableLeak(t, db, base)
+	if !base.Exists(name + ".corrupt") {
+		t.Fatal("quarantined table removed")
+	}
 }
 
 // TestScrubSurvivesRestart checks the quarantine is durable: after a

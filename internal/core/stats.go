@@ -191,17 +191,20 @@ func (db *DB) CommitGroupSizes() metrics.HistogramSnapshot { return db.m.GroupSi
 // FilterMemoryBytes sums the pinned Bloom-filter bytes across every
 // live table — the memory side of the filter experiments.
 func (db *DB) FilterMemoryBytes() int64 {
-	v := db.Version()
+	rs, err := db.loadReadState()
+	if err != nil {
+		return 0
+	}
+	defer rs.unref()
 	var total int64
-	for _, l := range v.Levels {
+	for _, l := range rs.version.Levels {
 		for _, r := range l.Runs {
 			for _, f := range r.Files {
-				rd, release, err := db.tcache.acquire(f.Num)
+				rd, err := db.tcache.get(f.Num)
 				if err != nil {
-					continue
+					continue // unopenable: no filter in memory
 				}
 				total += int64(rd.FilterSizeBytes())
-				release()
 			}
 		}
 	}

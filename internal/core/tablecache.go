@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"lsmlab/internal/manifest"
@@ -9,58 +8,30 @@ import (
 	"lsmlab/internal/vfs"
 )
 
-// tableCache keeps open sstable readers, refcounted so that a file can
-// be doomed (deleted by a compaction) while in-flight reads and open
-// iterators still hold it. The physical file is removed when the last
-// reference is released.
+// tableCache keeps one open sstable reader per table file: opened on
+// first use, closed when the file dies (tableRefs). Callers only ask for
+// files listed by a read state they pinned, which keeps each file alive
+// for as long as they use its reader.
 type tableCache struct {
 	fs    vfs.FS
 	dir   string
 	ropts func(fileNum uint64) sstable.ReaderOptions
 
-	mu      sync.Mutex
-	entries map[uint64]*tcEntry
-}
-
-type tcEntry struct {
-	r      *sstable.Reader
-	refs   int
-	doomed bool
-	// keepFile suppresses the physical delete of a doomed entry: the
-	// scrubber quarantines corrupt tables by renaming them aside, so the
-	// cache must drop its reader without removing the evidence.
-	keepFile bool
+	mu      sync.RWMutex
+	readers map[uint64]*sstable.Reader
 }
 
 func newTableCache(fs vfs.FS, dir string, ropts func(uint64) sstable.ReaderOptions) *tableCache {
-	return &tableCache{fs: fs, dir: dir, ropts: ropts, entries: make(map[uint64]*tcEntry)}
+	return &tableCache{fs: fs, dir: dir, ropts: ropts, readers: make(map[uint64]*sstable.Reader)}
 }
 
-// acquire opens (or reuses) the reader for fileNum and takes a
-// reference. Callers must invoke the returned release exactly once.
-func (tc *tableCache) acquire(fileNum uint64) (*sstable.Reader, func(), error) {
-	r, err := tc.acquireRef(fileNum)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, func() { tc.release(fileNum) }, nil
-}
-
-// acquireRef is acquire without the release closure: callers pair it
-// with an explicit tc.release(fileNum). The point-read path probes a
-// table per level and the closure allocation is measurable there.
-func (tc *tableCache) acquireRef(fileNum uint64) (*sstable.Reader, error) {
-	tc.mu.Lock()
-	e, ok := tc.entries[fileNum]
-	if ok && !e.doomed {
-		e.refs++
-		r := e.r
-		tc.mu.Unlock()
+// get returns the reader for fileNum, opening it on first use.
+func (tc *tableCache) get(fileNum uint64) (*sstable.Reader, error) {
+	tc.mu.RLock()
+	r := tc.readers[fileNum]
+	tc.mu.RUnlock()
+	if r != nil {
 		return r, nil
-	}
-	tc.mu.Unlock()
-	if ok { // doomed
-		return nil, fmt.Errorf("table %d: %w", fileNum, vfs.ErrNotExist)
 	}
 
 	// Open outside the lock; racing opens are reconciled below.
@@ -68,88 +39,31 @@ func (tc *tableCache) acquireRef(fileNum uint64) (*sstable.Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := sstable.Open(f, tc.ropts(fileNum))
+	r, err = sstable.Open(f, tc.ropts(fileNum))
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
 
 	tc.mu.Lock()
-	if cur, ok := tc.entries[fileNum]; ok && !cur.doomed {
-		cur.refs++
+	if cur := tc.readers[fileNum]; cur != nil {
 		tc.mu.Unlock()
 		r.Close()
-		return cur.r, nil
+		return cur, nil
 	}
-	tc.entries[fileNum] = &tcEntry{r: r, refs: 1}
+	tc.readers[fileNum] = r
 	tc.mu.Unlock()
 	return r, nil
 }
 
-func (tc *tableCache) release(fileNum uint64) {
+// drop closes the reader of a dead file, if one was opened.
+func (tc *tableCache) drop(fileNum uint64) {
 	tc.mu.Lock()
-	e, ok := tc.entries[fileNum]
-	if !ok {
-		tc.mu.Unlock()
-		return
-	}
-	e.refs--
-	del := e.doomed && e.refs == 0
-	if del {
-		delete(tc.entries, fileNum)
-	}
+	r := tc.readers[fileNum]
+	delete(tc.readers, fileNum)
 	tc.mu.Unlock()
-	if del {
-		e.r.Close()
-		if !e.keepFile {
-			tc.fs.Remove(vfs.Join(tc.dir, manifest.FileName(fileNum)))
-		}
-	}
-}
-
-// evict dooms a file: it is closed and physically deleted as soon as
-// the last reference drops (immediately, if unreferenced).
-func (tc *tableCache) evict(fileNum uint64) {
-	tc.mu.Lock()
-	e, ok := tc.entries[fileNum]
-	if !ok {
-		// Never opened: delete directly.
-		tc.entries[fileNum] = &tcEntry{doomed: true, refs: 0}
-		e = tc.entries[fileNum]
-	}
-	e.doomed = true
-	del := e.refs == 0
-	if del {
-		delete(tc.entries, fileNum)
-	}
-	tc.mu.Unlock()
-	if del {
-		if e.r != nil {
-			e.r.Close()
-		}
-		tc.fs.Remove(vfs.Join(tc.dir, manifest.FileName(fileNum)))
-	}
-}
-
-// forget dooms a file like evict but never deletes it physically: the
-// cached reader closes as soon as the last reference drops, while the
-// file itself stays on disk for the quarantine rename.
-func (tc *tableCache) forget(fileNum uint64) {
-	tc.mu.Lock()
-	e, ok := tc.entries[fileNum]
-	if !ok {
-		tc.mu.Unlock()
-		return
-	}
-	e.doomed = true
-	e.keepFile = true
-	del := e.refs == 0
-	if del {
-		delete(tc.entries, fileNum)
-	}
-	tc.mu.Unlock()
-	if del && e.r != nil {
-		e.r.Close()
+	if r != nil {
+		r.Close()
 	}
 }
 
@@ -158,10 +72,8 @@ func (tc *tableCache) forget(fileNum uint64) {
 func (tc *tableCache) close() {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	for num, e := range tc.entries {
-		if e.r != nil {
-			e.r.Close()
-		}
-		delete(tc.entries, num)
+	for num, r := range tc.readers {
+		r.Close()
+		delete(tc.readers, num)
 	}
 }

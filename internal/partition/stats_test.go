@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -95,5 +96,37 @@ func TestShardedFormatStatsMatchesSingleTree(t *testing.T) {
 				t.Errorf("%d shards: FormatStats(true) misses %q:\n%s", n, want, stats)
 			}
 		}
+	}
+}
+
+// TestOneShardProfileMatchesItsTree checks that sharded aggregation
+// recomputes the window RUM ratios from the exact counters a single
+// tree uses: a 1-shard store must report its tree's read and write amp.
+func TestOneShardProfileMatchesItsTree(t *testing.T) {
+	s, _ := testStore(t, 1)
+	for i := 0; i < 3000; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("k%04d", i%700)), make([]byte, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	s.WaitIdle()
+	// A mix of hits and misses probes a varying number of runs per get,
+	// with a period that is no divisor of the profiler's sampling period.
+	for i := 0; i < 3000; i++ {
+		key := []byte(fmt.Sprintf("k%04d", (i*97)%1100))
+		if _, err := s.Get(key); err != nil && !errors.Is(err, core.ErrNotFound) {
+			t.Fatal(err)
+		}
+	}
+	merged, tree := s.WorkloadProfile(), s.parts[0].WorkloadProfile()
+	if tree.ReadAmp == 0 || tree.WriteAmp == 0 {
+		t.Fatalf("workload measured no read or write amp: %+v", tree)
+	}
+	if merged.ReadAmp != tree.ReadAmp || merged.WriteAmp != tree.WriteAmp {
+		t.Fatalf("1-shard read_amp=%v write_amp=%v, its tree read_amp=%v write_amp=%v",
+			merged.ReadAmp, merged.WriteAmp, tree.ReadAmp, tree.WriteAmp)
 	}
 }
